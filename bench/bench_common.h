@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/openbg.h"
 #include "kge/trainer.h"
@@ -27,6 +29,9 @@ namespace openbg::bench {
 ///   --train-mode <m>      'hogwild' (default) or 'deterministic'
 ///   --parse-policy <p>    'strict' (default) or 'skip': how file loaders
 ///                         treat malformed lines
+///   (an unknown --train-mode / --parse-policy value exits 2; other flags
+///   this parser does not know are skipped, so a bench can re-parse argv
+///   for its own)
 ///   --max-parse-errors <n> abort a 'skip' load after n bad lines (0 = no
 ///                         limit)
 ///   --checkpoint-dir <d>  write/resume per-model trainer checkpoints
@@ -66,13 +71,15 @@ struct BenchArgs {
       } else if (std::strcmp(argv[i], "--train-threads") == 0) {
         args.train_threads = static_cast<size_t>(std::atoll(argv[i + 1]));
       } else if (std::strcmp(argv[i], "--train-mode") == 0) {
-        args.train_mode = std::strcmp(argv[i + 1], "deterministic") == 0
-                              ? kge::TrainMode::kDeterministic
-                              : kge::TrainMode::kHogwild;
+        args.train_mode = EnumFlag<kge::TrainMode>(
+            argv[i], argv[i + 1],
+            {{"hogwild", kge::TrainMode::kHogwild},
+             {"deterministic", kge::TrainMode::kDeterministic}});
       } else if (std::strcmp(argv[i], "--parse-policy") == 0) {
-        args.parse.policy = std::strcmp(argv[i + 1], "skip") == 0
-                                ? util::ParsePolicy::kSkipAndReport
-                                : util::ParsePolicy::kStrict;
+        args.parse.policy = EnumFlag<util::ParsePolicy>(
+            argv[i], argv[i + 1],
+            {{"strict", util::ParsePolicy::kStrict},
+             {"skip", util::ParsePolicy::kSkipAndReport}});
       } else if (std::strcmp(argv[i], "--max-parse-errors") == 0) {
         args.parse.max_errors = static_cast<size_t>(std::atoll(argv[i + 1]));
       } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0) {
@@ -86,6 +93,25 @@ struct BenchArgs {
       }
     }
     return args;
+  }
+
+  /// The value of enum flag `flag` named `value`. An unknown name exits 2
+  /// with the accepted names, so a typo never silently picks the default.
+  template <typename E>
+  static E EnumFlag(const char* flag, const char* value,
+                    std::initializer_list<std::pair<const char*, E>> names) {
+    for (const auto& [name, e] : names) {
+      if (std::strcmp(value, name) == 0) return e;
+    }
+    std::string accepted;
+    for (const auto& [name, e] : names) {
+      accepted += accepted.empty() ? "'" : ", '";
+      accepted += name;
+      accepted += "'";
+    }
+    std::fprintf(stderr, "%s: unknown value '%s' (expected %s)\n", flag, value,
+                 accepted.c_str());
+    std::exit(2);
   }
 
   core::OpenBG::Options ToOptions() const {

@@ -269,19 +269,32 @@ void Server::EventLoop(size_t index) {
 
     if (draining) {
       // Close every connection that is fully quiesced: no engine call in
-      // flight, nothing buffered. New requests arriving meanwhile get
-      // kShuttingDown answers (HandleFrame), which still flush first —
-      // the client always sees complete frames, then a clean EOF.
-      std::vector<std::shared_ptr<Conn>> quiesced;
+      // flight, nothing buffered in either direction. Requests arriving
+      // meanwhile get kShuttingDown answers (HandleFrame), which still
+      // flush first — the client always sees complete frames, then a
+      // clean EOF.
+      auto quiesced = [](const std::shared_ptr<Conn>& conn) {
+        if (conn->inflight.load(std::memory_order_acquire) != 0) return false;
+        std::lock_guard<std::mutex> lock(conn->out_mu);
+        return conn->out.empty();
+      };
+      std::vector<std::shared_ptr<Conn>> idle;
       for (auto& [fd, conn] : et->conns) {
-        bool idle = conn->inflight.load(std::memory_order_acquire) == 0;
-        if (idle) {
-          std::lock_guard<std::mutex> lock(conn->out_mu);
-          idle = conn->out.empty();
-        }
-        if (idle) quiesced.push_back(conn);
+        if (quiesced(conn)) idle.push_back(conn);
       }
-      for (const auto& conn : quiesced) CloseConn(et, conn);
+      for (const auto& conn : idle) {
+        // Read what the peer already sent before closing: closing a socket
+        // with unread bytes in its receive buffer makes the kernel send a
+        // reset instead of a FIN, and the peer loses the answers still in
+        // flight to it. Whole frames read here are answered kShuttingDown
+        // (so the connection is busy again until that answer flushes); a
+        // partial frame keeps it open until the rest arrives or the
+        // deadline below.
+        if (!ReadReady(et, conn) ||
+            (quiesced(conn) && conn->in.empty())) {
+          CloseConn(et, conn);
+        }
+      }
       if (et->conns.empty()) break;
       if (NowMs() - drain_start_ms >= options_.drain_deadline_ms) {
         // Deadline: finish the partially-written front frame (bounded

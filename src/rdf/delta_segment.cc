@@ -36,15 +36,7 @@ bool SpoLess(const Triple& a, const Triple& b) {
 
 util::Result<std::shared_ptr<const DeltaSegment>> DeltaSegment::Build(
     const DeltaSegment* prev, const UpdateBatch& batch,
-    const TripleStore& base) {
-  return Build(prev, batch, [&base](const Triple& t) {
-    return base.Contains(t.s, t.p, t.o);
-  });
-}
-
-util::Result<std::shared_ptr<const DeltaSegment>> DeltaSegment::Build(
-    const DeltaSegment* prev, const UpdateBatch& batch,
-    const std::function<bool(const Triple&)>& base_contains) {
+    const TripleSource& base) {
   if (util::Status s = ValidateTriples(batch.adds, "adds"); !s.ok()) return s;
   if (util::Status s = ValidateTriples(batch.retracts, "retracts"); !s.ok()) {
     return s;
@@ -56,14 +48,14 @@ util::Result<std::shared_ptr<const DeltaSegment>> DeltaSegment::Build(
   }
   // Adds first, retracts second: a triple in both lists ends up retracted.
   for (const Triple& t : batch.adds) {
-    if (base_contains(t)) {
+    if (base.Contains(t.s, t.p, t.o)) {
       seg->retracts_.erase(t);  // re-add of a retracted base triple
     } else {
       seg->add_set_.insert(t);
     }
   }
   for (const Triple& t : batch.retracts) {
-    if (base_contains(t)) {
+    if (base.Contains(t.s, t.p, t.o)) {
       seg->retracts_.insert(t);
     } else {
       seg->add_set_.erase(t);  // retract of a not-yet-compacted delta add

@@ -2,13 +2,12 @@
 #define OPENBG_RDF_DELTA_SEGMENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "rdf/triple_store.h"
+#include "rdf/triple_source.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -36,7 +35,7 @@ inline uint64_t EntityDepKey(TermId id) {
   return util::SplitMix64(0xE5717AB1D3C2F401ull ^ id);
 }
 
-/// An immutable overlay on a sealed base TripleStore: a sorted set of added
+/// An immutable overlay on a sealed base TripleSource: a sorted set of added
 /// triples plus a hash set of retracted base triples. Segments are built
 /// once (from the previous segment plus one UpdateBatch, normalized against
 /// the base) and then shared read-only across any number of query threads —
@@ -51,32 +50,16 @@ inline uint64_t EntityDepKey(TermId id) {
 ///    query results are deterministic.
 class DeltaSegment {
  public:
-  struct TripleHash {
-    size_t operator()(const Triple& t) const {
-      uint64_t h = t.s;
-      h = h * 0x9E3779B97F4A7C15ull + t.p;
-      h = h * 0x9E3779B97F4A7C15ull + t.o;
-      h ^= h >> 29;
-      return static_cast<size_t>(h);
-    }
-  };
-
   /// An empty delta (generation-1 snapshot of a freshly wrapped base).
   DeltaSegment() = default;
 
   /// The next segment after applying `batch` on top of `prev` (which may be
-  /// null, meaning an empty delta) against `base`. Returns InvalidArgument
-  /// if any triple has a kInvalidTerm component; the base is only read.
+  /// null, meaning an empty delta) against `base`, in whatever storage
+  /// format. Returns InvalidArgument if any triple has a kInvalidTerm
+  /// component; the base is only read (Contains).
   static util::Result<std::shared_ptr<const DeltaSegment>> Build(
       const DeltaSegment* prev, const UpdateBatch& batch,
-      const TripleStore& base);
-
-  /// Same normalization, but the base is abstracted to a membership
-  /// predicate — what lets LiveGraph overlay deltas on an out-of-core
-  /// ShardedStore base without rdf depending on its type here.
-  static util::Result<std::shared_ptr<const DeltaSegment>> Build(
-      const DeltaSegment* prev, const UpdateBatch& batch,
-      const std::function<bool(const Triple&)>& base_contains);
+      const TripleSource& base);
 
   const std::vector<Triple>& adds() const { return adds_; }
   size_t num_retracts() const { return retracts_.size(); }
@@ -98,12 +81,8 @@ class DeltaSegment {
   /// small by compaction, so this is a filtered linear scan.
   template <typename Fn>
   void ForEachAdd(const TriplePattern& pattern, Fn&& fn) const {
-    constexpr TermId kAny = TriplePattern::kAny;
     for (const Triple& t : adds_) {
-      bool is_match = (pattern.s == kAny || pattern.s == t.s) &&
-                      (pattern.p == kAny || pattern.p == t.p) &&
-                      (pattern.o == kAny || pattern.o == t.o);
-      if (is_match && !fn(t)) return;
+      if (pattern.Matches(t) && !fn(t)) return;
     }
   }
 

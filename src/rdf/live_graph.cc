@@ -12,10 +12,50 @@
 
 namespace openbg::rdf {
 
-LiveGraph::LiveGraph(std::shared_ptr<const TripleStore> base)
+namespace {
+
+// The base as an in-memory store, or null for an out-of-core one.
+// Compaction folds the delta into a fresh in-memory store, which is the
+// right representation only when the base already is one.
+const TripleStore* InMemoryBase(const GraphSnapshot& snap) {
+  return dynamic_cast<const TripleStore*>(snap.base.get());
+}
+
+}  // namespace
+
+void GraphSnapshot::ForEachMatch(const TriplePattern& pattern,
+                                 TripleVisitor fn) const {
+  const DeltaSegment* d = delta.get();
+  bool stopped = false;
+  base->ForEachMatch(pattern, [&](const Triple& t) {
+    if (d != nullptr && d->IsRetracted(t)) return true;
+    if (!fn(t)) {
+      stopped = true;
+      return false;
+    }
+    return true;
+  });
+  if (stopped || d == nullptr) return;
+  d->ForEachAdd(pattern, fn);
+}
+
+bool GraphSnapshot::Contains(TermId s, TermId p, TermId o) const {
+  Triple t{s, p, o};
+  if (delta != nullptr && delta->ContainsAdd(t)) return true;
+  if (delta != nullptr && delta->IsRetracted(t)) return false;
+  return base->Contains(s, p, o);
+}
+
+size_t GraphSnapshot::size() const {
+  size_t n = base->size();
+  if (delta != nullptr) n = n - delta->num_retracts() + delta->adds().size();
+  return n;
+}
+
+LiveGraph::LiveGraph(std::shared_ptr<const TripleSource> base)
     : LiveGraph(std::move(base), Options()) {}
 
-LiveGraph::LiveGraph(std::shared_ptr<const TripleStore> base, Options options)
+LiveGraph::LiveGraph(std::shared_ptr<const TripleSource> base, Options options)
     : options_(std::move(options)) {
   OPENBG_CHECK(base != nullptr);
   // The snapshot contract requires lock-free base reads on every query
@@ -23,24 +63,6 @@ LiveGraph::LiveGraph(std::shared_ptr<const TripleStore> base, Options options)
   base->SealIndexes();
   auto snap = std::make_shared<GraphSnapshot>();
   snap->base = std::move(base);
-  snap->delta = nullptr;
-  snap->generation = options_.base_generation == 0 ? 1
-                                                   : options_.base_generation;
-  std::atomic_store_explicit(&snapshot_,
-                             std::shared_ptr<const GraphSnapshot>(snap),
-                             std::memory_order_release);
-}
-
-LiveGraph::LiveGraph(std::shared_ptr<const ShardedStore> base)
-    : LiveGraph(std::move(base), Options()) {}
-
-LiveGraph::LiveGraph(std::shared_ptr<const ShardedStore> base, Options options)
-    : options_(std::move(options)) {
-  OPENBG_CHECK(base != nullptr);
-  // An OBGSNAP2 store is sealed by construction; nothing to seal.
-  auto snap = std::make_shared<GraphSnapshot>();
-  snap->sharded = std::move(base);
-  snap->delta = nullptr;
   snap->generation = options_.base_generation == 0 ? 1
                                                    : options_.base_generation;
   std::atomic_store_explicit(&snapshot_,
@@ -73,13 +95,7 @@ util::Status LiveGraph::Apply(const UpdateBatch& batch) {
     return util::Status::Internal("live::publish failpoint fired");
   }
   util::Result<std::shared_ptr<const DeltaSegment>> next =
-      cur->base != nullptr
-          ? DeltaSegment::Build(cur->delta.get(), batch, *cur->base)
-          : DeltaSegment::Build(
-                cur->delta.get(), batch,
-                [store = cur->sharded.get()](const Triple& t) {
-                  return store->Contains(t.s, t.p, t.o);
-                });
+      DeltaSegment::Build(cur->delta.get(), batch, *cur->base);
   if (!next.ok()) return next.status();
   uint64_t next_gen = cur->generation + 1;
   if (!options_.delta_dir.empty()) {
@@ -108,7 +124,6 @@ util::Status LiveGraph::Apply(const UpdateBatch& batch) {
   }
   auto snap = std::make_shared<GraphSnapshot>();
   snap->base = cur->base;
-  snap->sharded = cur->sharded;
   snap->delta = next.value();
   snap->generation = next_gen;
   size_t delta_size = next.value()->size();
@@ -120,7 +135,8 @@ util::Status LiveGraph::Apply(const UpdateBatch& batch) {
 util::Status LiveGraph::CompactOnceLocked() {
   std::shared_ptr<const GraphSnapshot> cur = Acquire();
   if (cur->delta == nullptr || cur->delta->empty()) return util::Status::OK();
-  if (cur->base == nullptr) {
+  const TripleStore* base = InMemoryBase(*cur);
+  if (base == nullptr) {
     // Folding a delta into OBGSNAP2 segments means re-encoding shard files;
     // that is an offline rebuild (ShardedStoreBuilder), not an in-process
     // compaction. The delta stays as the overlay — correct, just unfolded.
@@ -137,7 +153,7 @@ util::Status LiveGraph::CompactOnceLocked() {
   // base alive through shared ownership; new readers get an empty delta.
   auto compacted = std::make_shared<TripleStore>();
   const DeltaSegment& delta = *cur->delta;
-  for (const Triple& t : cur->base->triples()) {
+  for (const Triple& t : base->triples()) {
     if (!delta.IsRetracted(t)) compacted->Add(t);
   }
   for (const Triple& t : delta.adds()) compacted->Add(t);
@@ -183,7 +199,7 @@ void LiveGraph::MaybeScheduleCompaction(size_t delta_size) {
       delta_size < options_.compact_threshold) {
     return;
   }
-  if (Acquire()->base == nullptr) return;  // sharded base: no auto-compaction
+  if (InMemoryBase(*Acquire()) == nullptr) return;  // no auto-compaction
   if (options_.pool == nullptr) {
     CompactWithRetryLocked();  // retried next Apply if it failed
     return;

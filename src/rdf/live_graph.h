@@ -5,14 +5,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "rdf/delta_segment.h"
-#include "rdf/sharded_store.h"
 #include "rdf/triple_store.h"
 #include "util/retry.h"
 #include "util/status.h"
@@ -24,105 +22,37 @@ class ThreadPool;
 namespace openbg::rdf {
 
 /// One immutable, self-consistent version of the live graph: a sealed base
-/// store plus the delta overlay, stamped with a monotonic generation.
+/// source plus the delta overlay, stamped with a monotonic generation.
 /// Readers acquire a shared_ptr to a snapshot and keep querying it for as
 /// long as they like — a concurrent publish or compaction swaps the
 /// *handle*, never mutates a published snapshot, so in-flight requests
 /// finish on the version they started with (MVCC).
-struct GraphSnapshot {
-  /// Exactly one of `base` / `sharded` is set: an in-memory sealed store or
-  /// an out-of-core OBGSNAP2 store. The delta overlay works identically on
-  /// either — LiveGraph and the serving layer dispatch through the helpers
-  /// below and never care which representation is underneath.
-  std::shared_ptr<const TripleStore> base;
-  std::shared_ptr<const ShardedStore> sharded;
+///
+/// The base is any TripleSource: an in-memory TripleStore or an out-of-core
+/// OBGSNAP2 ShardedStore. The overlay works identically on either, and a
+/// snapshot is itself a TripleSource, so readers get the same derived reads
+/// (Match, CountMatches, Objects, ...) whatever is underneath.
+struct GraphSnapshot final : public TripleSource {
+  std::shared_ptr<const TripleSource> base;
   std::shared_ptr<const DeltaSegment> delta;  // may be null (= empty)
   uint64_t generation = 1;
 
-  /// Matching triples of the base representation only (no delta).
-  template <typename Fn>
-  void BaseForEach(const TriplePattern& pattern, Fn&& fn) const {
-    if (sharded != nullptr) {
-      sharded->ForEachMatchFn(pattern, std::forward<Fn>(fn));
-    } else {
-      base->ForEachMatchFn(pattern, std::forward<Fn>(fn));
-    }
-  }
+  /// Base triples not retracted by the delta (index-pruned through the
+  /// base's plan), then delta adds, each in deterministic order.
+  void ForEachMatch(const TriplePattern& pattern,
+                    TripleVisitor fn) const override;
 
-  bool BaseContains(TermId s, TermId p, TermId o) const {
-    return sharded != nullptr ? sharded->Contains(s, p, o)
-                              : base->Contains(s, p, o);
-  }
-
-  size_t BaseSize() const {
-    return sharded != nullptr ? sharded->size() : base->size();
-  }
-
-  /// True when the base representation is healthy. An in-memory base is
-  /// always healthy; a sharded base goes unhealthy when lazy verification
-  /// latches corruption — the serving layer degrades instead of answering
-  /// from a half-readable store.
-  bool BaseOk() const { return sharded == nullptr || sharded->ok(); }
-
-  /// Calls `fn` for every live triple matching `pattern`: base triples not
-  /// retracted by the delta (index-pruned via the base's PrefixRange), then
-  /// delta adds, each in deterministic order. Stops early on false.
-  template <typename Fn>
-  void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
-    bool stopped = false;
-    if (delta == nullptr || delta->num_retracts() == 0) {
-      BaseForEach(pattern, [&](const Triple& t) {
-        if (!fn(t)) {
-          stopped = true;
-          return false;
-        }
-        return true;
-      });
-    } else {
-      BaseForEach(pattern, [&](const Triple& t) {
-        if (delta->IsRetracted(t)) return true;
-        if (!fn(t)) {
-          stopped = true;
-          return false;
-        }
-        return true;
-      });
-    }
-    if (stopped || delta == nullptr) return;
-    delta->ForEachAdd(pattern, fn);
-  }
-
-  size_t CountMatches(const TriplePattern& pattern) const {
-    size_t n = 0;
-    ForEachMatchFn(pattern, [&n](const Triple&) {
-      ++n;
-      return true;
-    });
-    return n;
-  }
-
-  std::vector<Triple> Match(const TriplePattern& pattern) const {
-    std::vector<Triple> out;
-    ForEachMatchFn(pattern, [&out](const Triple& t) {
-      out.push_back(t);
-      return true;
-    });
-    return out;
-  }
-
-  bool Contains(TermId s, TermId p, TermId o) const {
-    Triple t{s, p, o};
-    if (delta != nullptr && delta->ContainsAdd(t)) return true;
-    if (delta != nullptr && delta->IsRetracted(t)) return false;
-    return BaseContains(s, p, o);
-  }
+  bool Contains(TermId s, TermId p, TermId o) const override;
 
   /// Live triple count: base minus retracts plus adds.
-  size_t size() const {
-    size_t n = BaseSize();
-    if (delta != nullptr) n = n - delta->num_retracts() + delta->adds().size();
-    return n;
-  }
+  size_t size() const override;
+
+  /// The base's health: a sharded base goes unhealthy when lazy
+  /// verification latches corruption — the serving layer then degrades
+  /// instead of answering from a half-readable store.
+  bool ok() const override { return base->ok(); }
+
+  bool IndexesSealed() const override { return base->IndexesSealed(); }
 };
 
 /// The record a publish leaves behind for the serving layer: which
@@ -214,20 +144,18 @@ class LiveGraph {
     uint64_t compactions = 0;        ///< successful (non-empty) compactions
   };
 
-  /// Wraps `base` (sealed on construction if it is not already). Two
-  /// overloads instead of one defaulted-Options parameter: GCC rejects a
-  /// default argument whose nested-aggregate initializers are still
-  /// pending inside the enclosing class (PR c++/88165).
-  explicit LiveGraph(std::shared_ptr<const TripleStore> base);
-  LiveGraph(std::shared_ptr<const TripleStore> base, Options options);
-
-  /// Wraps an out-of-core sharded base. The delta/WAL/publish machinery is
+  /// Wraps `base`, any TripleSource, after asking it to seal itself
+  /// (TripleSource::SealIndexes) so reads never build an index. Over an
+  /// out-of-core OBGSNAP2 base the delta/WAL/publish machinery is
   /// identical; the one difference is compaction, which would require
   /// rebuilding OBGSNAP2 segments and is deliberately not folded in here —
   /// Compact() returns Unimplemented and threshold-triggered compaction is
-  /// skipped (rebuild offline via ShardedStoreBuilder instead).
-  explicit LiveGraph(std::shared_ptr<const ShardedStore> base);
-  LiveGraph(std::shared_ptr<const ShardedStore> base, Options options);
+  /// skipped (rebuild offline via ShardedStoreBuilder instead). Two
+  /// overloads instead of one defaulted-Options parameter: GCC rejects a
+  /// default argument whose nested-aggregate initializers are still
+  /// pending inside the enclosing class (PR c++/88165).
+  explicit LiveGraph(std::shared_ptr<const TripleSource> base);
+  LiveGraph(std::shared_ptr<const TripleSource> base, Options options);
 
   /// Convenience for callers that keep the store alive themselves (e.g. a
   /// core::OpenBG-owned graph): wraps a non-owning alias.

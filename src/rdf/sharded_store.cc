@@ -52,33 +52,18 @@ void AppendLe(std::string* out, const void* v, size_t n) {
   out->append(static_cast<const char*>(v), n);
 }
 
-// Permuted key of `t` in order `ord` — must match KeyOf in triple_store.cc.
-inline SegmentKey TripleToKey(const Triple& t, int ord) {
-  switch (ord) {
-    case 0:  // SPO
-      return {t.s, t.p, t.o};
-    case 1:  // POS
-      return {t.p, t.o, t.s};
-    default:  // OSP
-      return {t.o, t.s, t.p};
-  }
-}
+// Candidate key range [lo, hi) of a bound plan in its order's segments.
+// Bound components are real term ids (< kInvalidTerm = 0xFFFFFFFF), so the
+// +1 cannot wrap.
+struct KeyRange {
+  SegmentKey lo;
+  SegmentKey hi;
+};
 
-inline Triple KeyToTriple(const SegmentKey& k, int ord) {
-  switch (ord) {
-    case 0:
-      return Triple{k[0], k[1], k[2]};
-    case 1:
-      return Triple{k[2], k[0], k[1]};
-    default:
-      return Triple{k[1], k[2], k[0]};
-  }
-}
-
-inline bool Matches(const TriplePattern& p, const Triple& t) {
-  constexpr TermId kAny = TriplePattern::kAny;
-  return (p.s == kAny || p.s == t.s) && (p.p == kAny || p.p == t.p) &&
-         (p.o == kAny || p.o == t.o);
+inline KeyRange RangeOf(const PatternPlan& plan) {
+  const std::array<TermId, 2>& k = plan.prefix;
+  if (plan.bound == 2) return {{k[0], k[1], 0}, {k[0], k[1] + 1, 0}};
+  return {{k[0], 0, 0}, {k[0] + 1, 0, 0}};
 }
 
 // First block whose first key is > `key`; blocks [result-1 ..] may contain
@@ -264,7 +249,7 @@ util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
     }
   }
   auto spo_less = [](const Triple& a, const Triple& b) {
-    return TripleToKey(a, 0) < TripleToKey(b, 0);
+    return KeyOf(a, IndexOrder::kSpo) < KeyOf(b, IndexOrder::kSpo);
   };
   std::sort(triples.begin(), triples.end(), spo_less);
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
@@ -275,7 +260,7 @@ util::Status ShardedStoreBuilder::EncodeShard(uint32_t shard,
   std::vector<SegmentKey> keys(triples.size());
   for (int ord = 0; ord < 3; ++ord) {
     for (size_t i = 0; i < triples.size(); ++i) {
-      keys[i] = TripleToKey(triples[i], ord);
+      keys[i] = KeyOf(triples[i], static_cast<IndexOrder>(ord));
     }
     if (ord != 0) std::sort(keys.begin(), keys.end());
     SegmentEncoder enc(options_.block_size);
@@ -643,71 +628,24 @@ bool ShardedStore::CheckBlock(const OrderSeg& seg, size_t block) const {
 // Queries
 // ---------------------------------------------------------------------------
 
-ShardedStore::Plan ShardedStore::MakePlan(const TriplePattern& p) {
-  constexpr TermId kAny = TriplePattern::kAny;
-  Plan plan;
-  uint32_t a = 0, b = 0;
-  if (p.s != kAny && p.p != kAny) {
-    plan.ord = 0;
-    plan.bound = 2;
-    a = p.s;
-    b = p.p;
-  } else if (p.p != kAny && p.o != kAny) {
-    plan.ord = 1;
-    plan.bound = 2;
-    a = p.p;
-    b = p.o;
-  } else if (p.s != kAny && p.o != kAny) {
-    plan.ord = 2;  // OSP order is (o, s, p): prefix (o, s)
-    plan.bound = 2;
-    a = p.o;
-    b = p.s;
-  } else if (p.s != kAny) {
-    plan.ord = 0;
-    plan.bound = 1;
-    a = p.s;
-  } else if (p.p != kAny) {
-    plan.ord = 1;
-    plan.bound = 1;
-    a = p.p;
-  } else if (p.o != kAny) {
-    plan.ord = 2;
-    plan.bound = 1;
-    a = p.o;
-  } else {
-    plan.ord = 0;  // full scan: global SPO order
-    plan.bound = 0;
-    return plan;
-  }
-  // Bound components are real term ids (< kInvalidTerm = 0xFFFFFFFF), so
-  // the +1 below cannot wrap.
-  if (plan.bound == 2) {
-    plan.lo = {a, b, 0};
-    plan.hi = {a, b + 1, 0};
-  } else {
-    plan.lo = {a, 0, 0};
-    plan.hi = {a + 1, 0, 0};
-  }
-  return plan;
-}
-
-bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
-                             const TriplePattern& pattern,
-                             const std::function<bool(const Triple&)>& sink,
+bool ShardedStore::ScanShard(const Shard& shard, const PatternPlan& plan,
+                             const TriplePattern& pattern, TripleVisitor sink,
                              bool* stopped) const {
-  const OrderSeg& seg = shard.orders[plan.ord];
+  const int ord = static_cast<int>(plan.order);
+  const OrderSeg& seg = shard.orders[ord];
   if (shard.triple_count == 0 || seg.num_blocks == 0) return true;
-  if (!CheckIndex(shard, plan.ord)) return false;
+  if (!CheckIndex(shard, ord)) return false;
+  const KeyRange range = plan.bound > 0 ? RangeOf(plan) : KeyRange{};
   size_t bi = 0;
   if (plan.bound > 0) {
-    size_t ub = UpperBoundBlock(seg.index, seg.num_blocks, plan.lo);
+    size_t ub = UpperBoundBlock(seg.index, seg.num_blocks, range.lo);
     bi = ub > 0 ? ub - 1 : 0;
   }
   for (; bi < seg.num_blocks; ++bi) {
     BlockMeta m = BlockMetaAt(seg.index, bi);
     if (plan.bound > 0) {
       SegmentKey first = {m.k0, m.k1, m.k2};
-      if (!(first < plan.hi)) break;  // every later key is past the range
+      if (!(first < range.hi)) break;  // every later key is past the range
     }
     if (!CheckBlock(seg, bi)) return false;
     auto [begin, end] =
@@ -716,11 +654,11 @@ bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
     SegmentKey k;
     while (dec.Next(&k)) {
       if (plan.bound > 0) {
-        if (k < plan.lo) continue;
-        if (!(k < plan.hi)) return true;  // sorted: range exhausted
+        if (k < range.lo) continue;
+        if (!(k < range.hi)) return true;  // sorted: range exhausted
       }
-      Triple t = KeyToTriple(k, plan.ord);
-      if (Matches(pattern, t) && !sink(t)) {
+      Triple t = TripleOfKey(k, plan.order);
+      if (pattern.Matches(t) && !sink(t)) {
         *stopped = true;
         return true;
       }
@@ -729,18 +667,17 @@ bool ShardedStore::ScanShard(const Shard& shard, const Plan& plan,
       blocks_corrupt_.fetch_add(1, std::memory_order_relaxed);
       LatchCorrupt(util::StrFormat("%s order %d block %zu: malformed varint "
                                    "stream",
-                                   shard.file.path().c_str(), plan.ord, bi));
+                                   shard.file.path().c_str(), ord, bi));
       return false;
     }
   }
   return true;
 }
 
-void ShardedStore::ForEachMatch(
-    const TriplePattern& pattern,
-    const std::function<bool(const Triple&)>& fn) const {
+void ShardedStore::ForEachMatch(const TriplePattern& pattern,
+                                TripleVisitor fn) const {
   if (!ok() || shards_.empty()) return;
-  const Plan plan = MakePlan(pattern);
+  const PatternPlan plan = PlanPattern(pattern);
   bool stopped = false;
   if (pattern.s != TriplePattern::kAny) {
     // Single-shard route: the subject's shard holds every candidate, and
@@ -754,7 +691,8 @@ void ShardedStore::ForEachMatch(
   // Fan-out: collect per shard (in parallel when a pool is bound; shard i
   // is scanned wholly by one worker — per-shard affinity keeps each
   // worker's page touches local to few mappings), then merge serially in
-  // plan.ord key order, which equals the in-memory store's iteration order.
+  // plan.order key order, which equals the in-memory store's iteration
+  // order.
   const size_t n = shards_.size();
   std::vector<std::vector<Triple>> per(n);
   std::atomic<bool> bad{false};
@@ -782,9 +720,7 @@ void ShardedStore::ForEachMatch(
   std::priority_queue<Head, std::vector<Head>, decltype(greater)> heads(
       greater);
   for (size_t i = 0; i < n; ++i) {
-    if (!per[i].empty()) {
-      heads.push({TripleToKey(per[i][0], plan.ord), i, 0});
-    }
+    if (!per[i].empty()) heads.push({KeyOf(per[i][0], plan.order), i, 0});
   }
   while (!heads.empty()) {
     Head h = heads.top();
@@ -792,9 +728,8 @@ void ShardedStore::ForEachMatch(
     const Triple& t = per[h.shard][h.idx];
     if (!fn(t)) return;
     if (h.idx + 1 < per[h.shard].size()) {
-      heads.push(
-          {TripleToKey(per[h.shard][h.idx + 1], plan.ord), h.shard,
-           h.idx + 1});
+      heads.push({KeyOf(per[h.shard][h.idx + 1], plan.order), h.shard,
+                  h.idx + 1});
     }
   }
 }
@@ -865,12 +800,14 @@ bool ShardedStore::RankLowerBound(const Shard& shard, int ord,
 
 size_t ShardedStore::ScanCost(const TriplePattern& pattern) const {
   if (!ok()) return 0;
-  const Plan plan = MakePlan(pattern);
+  const PatternPlan plan = PlanPattern(pattern);
   if (plan.bound == 0) return static_cast<size_t>(total_triples_);
-  auto range_of = [this, &plan](const Shard& shard, uint64_t* out) {
+  const KeyRange range = RangeOf(plan);
+  const int ord = static_cast<int>(plan.order);
+  auto range_of = [this, &range, ord](const Shard& shard, uint64_t* out) {
     uint64_t lo = 0, hi = 0;
-    if (!RankLowerBound(shard, plan.ord, plan.lo, &lo)) return false;
-    if (!RankLowerBound(shard, plan.ord, plan.hi, &hi)) return false;
+    if (!RankLowerBound(shard, ord, range.lo, &lo)) return false;
+    if (!RankLowerBound(shard, ord, range.hi, &hi)) return false;
     *out = hi - lo;
     return true;
   };
@@ -886,54 +823,6 @@ size_t ShardedStore::ScanCost(const TriplePattern& pattern) const {
     cost += r;
   }
   return static_cast<size_t>(cost);
-}
-
-std::vector<Triple> ShardedStore::Match(const TriplePattern& pattern) const {
-  std::vector<Triple> out;
-  ForEachMatch(pattern, [&out](const Triple& t) {
-    out.push_back(t);
-    return true;
-  });
-  return out;
-}
-
-size_t ShardedStore::CountMatches(const TriplePattern& pattern) const {
-  size_t n = 0;
-  ForEachMatch(pattern, [&n](const Triple&) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
-std::vector<TermId> ShardedStore::Objects(TermId s, TermId p) const {
-  std::vector<TermId> out;
-  ForEachMatch(TriplePattern{s, p, TriplePattern::kAny},
-               [&out](const Triple& t) {
-                 out.push_back(t.o);
-                 return true;
-               });
-  return out;
-}
-
-std::vector<TermId> ShardedStore::Subjects(TermId p, TermId o) const {
-  std::vector<TermId> out;
-  ForEachMatch(TriplePattern{TriplePattern::kAny, p, o},
-               [&out](const Triple& t) {
-                 out.push_back(t.s);
-                 return true;
-               });
-  return out;
-}
-
-TermId ShardedStore::FirstObject(TermId s, TermId p) const {
-  TermId found = kInvalidTerm;
-  ForEachMatch(TriplePattern{s, p, TriplePattern::kAny},
-               [&found](const Triple& t) {
-                 found = t.o;
-                 return false;
-               });
-  return found;
 }
 
 std::vector<TermId> ShardedStore::DistinctPredicates() const {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -26,13 +25,13 @@ namespace openbg::rdf {
 /// 10× larger than RAM serves point queries inside a fixed memory budget
 /// (DESIGN.md §14).
 ///
-/// Query surface and iteration order mirror TripleStore exactly: any
-/// pattern with a bound subject routes to the single owning shard; other
-/// bound patterns fan out across shards (on the optional ThreadPool, with
-/// per-shard affinity) and merge serially in the chosen order's global sort
-/// order. The one documented deviation: the fully unbound pattern iterates
-/// in global SPO order, not insertion order (an on-disk store has no
-/// insertion log).
+/// Query surface (the rdf::TripleSource contract) and iteration order mirror
+/// TripleStore exactly: any pattern with a bound subject routes to the
+/// single owning shard; other bound patterns fan out across shards (on the
+/// optional ThreadPool, with per-shard affinity) and merge serially in the
+/// chosen order's global sort order. The one documented deviation: the
+/// fully unbound pattern iterates in global SPO order, not insertion order
+/// (an on-disk store has no insertion log).
 ///
 /// Durability contract matches OBGSNAP1: every open validates manifest,
 /// shard headers and TOCs (CRC-guarded, TOC at end of file so truncation
@@ -122,62 +121,45 @@ struct ShardedStoreStats {
   std::string first_error;
 };
 
-class ShardedStore {
+class ShardedStore final : public TripleSource {
  public:
   /// Opens (and per OpenOptions verifies) the store at `dir`. Fails closed:
   /// a non-OK result means nothing is mapped and no partial state exists.
   static util::Result<std::shared_ptr<const ShardedStore>> Open(
       const std::string& dir, ShardedOpenOptions options = {});
 
-  ~ShardedStore();
+  ~ShardedStore() override;
 
   ShardedStore(const ShardedStore&) = delete;
   ShardedStore& operator=(const ShardedStore&) = delete;
 
-  size_t size() const { return total_triples_; }
+  size_t size() const override { return total_triples_; }
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   const std::string& dir() const { return dir_; }
 
   /// False once lazy verification has found a corrupt block (sticky). Reads
   /// on a corrupt store return no results; the serving layer checks this
   /// and degrades instead of serving partial answers.
-  bool ok() const { return !corrupt_.load(std::memory_order_acquire); }
+  bool ok() const override {
+    return !corrupt_.load(std::memory_order_acquire);
+  }
 
   /// OK, or the first corruption detected (sticky).
   util::Status status() const;
 
-  bool Contains(TermId s, TermId p, TermId o) const;
+  bool Contains(TermId s, TermId p, TermId o) const override;
 
   /// Calls `fn` for each matching triple in the documented order; stops
   /// early when `fn` returns false. On a corrupt store: no calls.
   void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const;
-
-  /// Template shim matching TripleStore::ForEachMatchFn, so GraphSnapshot
-  /// and the evaluators compile against either store unchanged. The
-  /// std::function hop it pays is noise against block decode + page-in.
-  template <typename Fn>
-  void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
-    ForEachMatch(pattern,
-                 std::function<bool(const Triple&)>(std::forward<Fn>(fn)));
-  }
-
-  std::vector<Triple> Match(const TriplePattern& pattern) const;
-  size_t CountMatches(const TriplePattern& pattern) const;
+                    TripleVisitor fn) const override;
 
   /// Exact parity with TripleStore::ScanCost: the global candidate range
   /// size for the pattern's chosen index prefix (summed across shards for
   /// fan-out patterns, `size()` for the unbound pattern).
   size_t ScanCost(const TriplePattern& pattern) const;
 
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-  TermId FirstObject(TermId s, TermId p) const;
   std::vector<TermId> DistinctPredicates() const;
-
-  /// Mirrors TripleStore::IndexesSealed(): an on-disk store is sealed by
-  /// construction, so the serving layer's invariant check passes verbatim.
-  bool IndexesSealed() const { return true; }
 
   ShardedStoreStats Stats() const;
 
@@ -202,24 +184,13 @@ class ShardedStore {
     OrderSeg orders[3];
   };
 
-  // Index selection + candidate key range for a pattern; mirrors
-  // TripleStore::PrefixRange exactly (that is what the parity suite pins).
-  struct Plan {
-    int ord = 0;    // 0 SPO, 1 POS, 2 OSP
-    int bound = 0;  // bound prefix length; 0 means full scan
-    SegmentKey lo = {0, 0, 0};  // inclusive
-    SegmentKey hi = {0, 0, 0};  // exclusive (unused when bound == 0)
-  };
-  static Plan MakePlan(const TriplePattern& pattern);
-
   ShardedStore() = default;
 
-  // Streams `pattern`'s candidate range of one shard (in plan.ord key
+  // Streams `pattern`'s candidate range of one shard (in plan.order key
   // order) into `sink`; `*stopped` reports an early stop requested by the
   // sink. Returns false on corruption (latched).
-  bool ScanShard(const Shard& shard, const Plan& plan,
-                 const TriplePattern& pattern,
-                 const std::function<bool(const Triple&)>& sink,
+  bool ScanShard(const Shard& shard, const PatternPlan& plan,
+                 const TriplePattern& pattern, TripleVisitor sink,
                  bool* stopped) const;
 
   // Rank of the first key >= `key` in the shard's `ord` segment (exact;

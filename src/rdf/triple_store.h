@@ -3,31 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
 
-#include "rdf/term.h"
+#include "rdf/triple_source.h"
 
 namespace openbg::rdf {
-
-/// One RDF statement: subject-predicate-object, all interned TermIds.
-struct Triple {
-  TermId s = kInvalidTerm;
-  TermId p = kInvalidTerm;
-  TermId o = kInvalidTerm;
-
-  friend bool operator==(const Triple&, const Triple&) = default;
-};
-
-/// A triple pattern: any component may be `kAny` (wildcard).
-struct TriplePattern {
-  static constexpr TermId kAny = kInvalidTerm;
-  TermId s = kAny;
-  TermId p = kAny;
-  TermId o = kAny;
-};
 
 /// Heap footprint of one TripleStore, broken out per structure so the serve
 /// metrics (and the out-of-core bench) can attribute RSS instead of quoting
@@ -66,7 +48,7 @@ struct TripleStoreMemory {
 ///  * For contention-free hot paths, call `SealIndexes()` once after bulk
 ///    load: it builds all three sort orders eagerly, after which concurrent
 ///    queries never touch the mutex's slow path.
-class TripleStore {
+class TripleStore final : public TripleSource {
  public:
   TripleStore() = default;
 
@@ -81,49 +63,39 @@ class TripleStore {
   bool Add(TermId s, TermId p, TermId o);
   bool Add(const Triple& t) { return Add(t.s, t.p, t.o); }
 
-  /// True iff the exact triple is present.
-  bool Contains(TermId s, TermId p, TermId o) const;
+  bool Contains(TermId s, TermId p, TermId o) const override;
 
-  size_t size() const { return triples_.size(); }
+  size_t size() const override { return triples_.size(); }
 
   /// All triples in insertion order.
   const std::vector<Triple>& triples() const { return triples_; }
 
-  /// Collects all triples matching `pattern`.
-  std::vector<Triple> Match(const TriplePattern& pattern) const;
-
-  /// Calls `fn` for each matching triple; stops early if `fn` returns false.
-  /// Thin wrapper over ForEachMatchFn — prefer the template from hot loops.
+  /// The unbound pattern iterates in insertion order; a bound one in the
+  /// order of the index PlanPattern chose.
   void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const;
+                    TripleVisitor fn) const override {
+    ForEachMatchFn(pattern, fn);
+  }
 
   /// Templated fast path of ForEachMatch: identical semantics, but the
   /// callable is statically dispatched (and typically inlined) instead of
-  /// paying a std::function indirection per triple. `fn` takes
-  /// `const Triple&` and returns false to stop early. Match, CountMatches,
-  /// Objects, Subjects and FirstObject are built on this path.
+  /// called through a TripleVisitor per triple — for hot loops that hold a
+  /// TripleStore by its concrete type.
   template <typename Fn>
   void ForEachMatchFn(const TriplePattern& pattern, Fn&& fn) const {
-    constexpr TermId kAny = TriplePattern::kAny;
-    Order order;
-    auto [begin, end] = PrefixRange(pattern, &order);
-    if (begin == nullptr) {  // unbound pattern: full scan
+    const PatternPlan plan = PlanPattern(pattern);
+    if (plan.bound == 0) {  // unbound pattern: full scan
       for (const Triple& t : triples_) {
         if (!fn(t)) return;
       }
       return;
     }
+    auto [begin, end] = PrefixRange(plan);
     for (const uint32_t* it = begin; it != end; ++it) {
       const Triple& t = triples_[*it];
-      bool is_match = (pattern.s == kAny || pattern.s == t.s) &&
-                      (pattern.p == kAny || pattern.p == t.p) &&
-                      (pattern.o == kAny || pattern.o == t.o);
-      if (is_match && !fn(t)) return;
+      if (pattern.Matches(t) && !fn(t)) return;
     }
   }
-
-  /// Number of triples matching `pattern` (no materialization).
-  size_t CountMatches(const TriplePattern& pattern) const;
 
   /// Number of index entries a query for `pattern` walks (the candidate
   /// range before residual filtering; `size()` for the unbound pattern).
@@ -132,16 +104,6 @@ class TripleStore {
   /// range, not the subject's whole SPO range.
   size_t ScanCost(const TriplePattern& pattern) const;
 
-  /// Objects `o` of all triples (s, p, o). Convenience for the hot
-  /// "attribute lookup" path.
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-
-  /// Subjects `s` of all triples (s, p, o).
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-
-  /// First object of (s, p, *), or kInvalidTerm.
-  TermId FirstObject(TermId s, TermId p) const;
-
   /// Distinct predicates present in the store.
   std::vector<TermId> DistinctPredicates() const;
 
@@ -149,17 +111,18 @@ class TripleStore {
   /// freeze the store for concurrent readers; queries afterwards are pure
   /// reads with no locking. Queries before sealing remain correct — they
   /// just may contend on the internal rebuild mutex.
-  void SealIndexes() const;
+  void SealIndexes() const override;
 
   /// True iff all three sort orders are built for the current contents —
   /// the state SealIndexes() leaves behind. The serving layer asserts this
   /// on every read: a sealed store guarantees lock-free queries, and an
   /// Add() slipped in after sealing would silently reintroduce the mutex
   /// slow path (and race with concurrent readers).
-  bool IndexesSealed() const {
-    return !spo_dirty_.load(std::memory_order_acquire) &&
-           !pos_dirty_.load(std::memory_order_acquire) &&
-           !osp_dirty_.load(std::memory_order_acquire);
+  bool IndexesSealed() const override {
+    for (const std::atomic<bool>& dirty : dirty_) {
+      if (dirty.load(std::memory_order_acquire)) return false;
+    }
+    return true;
   }
 
   /// Per-structure heap accounting (see TripleStoreMemory). Safe to call
@@ -167,33 +130,22 @@ class TripleStore {
   TripleStoreMemory MemoryUsage() const;
 
  private:
-  enum class Order { kSpo, kPos, kOsp };
+  void EnsureSorted(IndexOrder order) const;
 
-  struct TripleHash {
-    size_t operator()(const Triple& t) const {
-      uint64_t h = t.s;
-      h = h * 0x9E3779B97F4A7C15ull + t.p;
-      h = h * 0x9E3779B97F4A7C15ull + t.o;
-      h ^= h >> 29;
-      return static_cast<size_t>(h);
-    }
-  };
-
-  void EnsureSorted(Order order) const;
-
-  // Returns [begin, end) into the given index for the pattern's bound prefix.
+  // [begin, end) of the plan's bound-prefix range in its order's index
+  // (plan.bound > 0).
   std::pair<const uint32_t*, const uint32_t*> PrefixRange(
-      const TriplePattern& pattern, Order* chosen) const;
+      const PatternPlan& plan) const;
 
   std::vector<Triple> triples_;
   std::unordered_set<Triple, TripleHash> dedup_;
 
-  mutable std::vector<uint32_t> idx_spo_, idx_pos_, idx_osp_;
+  // One permutation of triple positions per IndexOrder.
+  mutable std::vector<uint32_t> idx_[3];
   // Invariant: a false flag (acquire-read) means the matching index vector
   // is fully built for the current triples_ — readers then use it without
   // locking. Rebuilds happen under index_mu_ with a double-check.
-  mutable std::atomic<bool> spo_dirty_{false}, pos_dirty_{false},
-      osp_dirty_{false};
+  mutable std::atomic<bool> dirty_[3] = {false, false, false};
   mutable std::mutex index_mu_;
 };
 

@@ -20,26 +20,37 @@ namespace openbg::serve {
 // controller scores candidate models through the exact selection the
 // primary drain path uses.
 
-ServeContext::ServeContext(Bindings bindings) : bindings_(bindings) {
-  if (bindings_.sharded != nullptr) {
-    // Out-of-core base: already sealed by construction, no index build to
-    // force. The frozen snapshot wraps the shared_ptr so the mapping stays
-    // alive for as long as any in-flight request holds the snapshot.
-    auto frozen = std::make_shared<rdf::GraphSnapshot>();
-    frozen->sharded = bindings_.sharded;
-    frozen->generation = 1;
-    frozen_ = std::move(frozen);
-  } else if (bindings_.graph != nullptr) {
-    // Serve-path reads must be lock-free: build all three sort orders now
-    // and hold the store to that contract from here on. (A bound LiveGraph
-    // seals its own base at construction and every snapshot it publishes
-    // keeps the invariant.)
-    bindings_.graph->store.SealIndexes();
-    OPENBG_CHECK(bindings_.graph->store.IndexesSealed());
-    auto frozen = std::make_shared<rdf::GraphSnapshot>();
-    frozen->base = rdf::LiveGraph::Alias(&bindings_.graph->store);
-    frozen->generation = 1;
-    frozen_ = std::move(frozen);
+namespace {
+
+// Base of a context bound to no graph input: empty, sealed, shared.
+const rdf::TripleStore& EmptyStore() {
+  static const rdf::TripleStore empty;
+  return empty;
+}
+
+// The snapshot's base as an OBGSNAP2 store (for its health and mapping
+// stats), or null for an in-memory one.
+const rdf::ShardedStore* ShardedBase(const rdf::GraphSnapshot& snap) {
+  return dynamic_cast<const rdf::ShardedStore*>(snap.base.get());
+}
+
+}  // namespace
+
+ServeContext::ServeContext(Bindings bindings)
+    : bindings_(std::move(bindings)), live_(bindings_.live) {
+  if (live_ == nullptr) {
+    // A frozen graph is a LiveGraph nobody writes to. The LiveGraph seals
+    // an in-memory base, so serve-path reads are lock-free from here on;
+    // the shared_ptr keeps a sharded mapping alive for as long as any
+    // in-flight request holds a snapshot over it.
+    std::shared_ptr<const rdf::TripleSource> base = bindings_.sharded;
+    if (base == nullptr) {
+      base = rdf::LiveGraph::Alias(bindings_.graph != nullptr
+                                       ? &bindings_.graph->store
+                                       : &EmptyStore());
+    }
+    owned_live_ = std::make_unique<rdf::LiveGraph>(std::move(base));
+    live_ = owned_live_.get();
   }
   if (bindings_.model != nullptr) {
     bindings_.model->PrepareEval();  // ScoreTails becomes const-thread-safe
@@ -158,31 +169,20 @@ QueryEngine::~QueryEngine() {
   pool_.reset();
 }
 
-const rdf::GraphSnapshot& QueryEngine::Sealed(const rdf::GraphSnapshot& snap) {
-  // A sharded (OBGSNAP2) base is immutable on disk — sealed by
-  // construction; an in-memory base must still prove it.
-  OPENBG_CHECK(snap.sharded != nullptr ||
-               (snap.base != nullptr && snap.base->IndexesSealed()))
-      << "serve-path read would trigger a lazy index build; the store was "
-         "mutated after ServeContext/LiveGraph sealed it";
-  return snap;
-}
-
 void QueryEngine::SyncInvalidations(uint64_t snap_gen) {
   if (!options_.cache_enabled) return;
-  rdf::LiveGraph* live = context_->bindings().live;
-  if (live == nullptr) return;
   if (snap_gen <= last_synced_gen_.load(std::memory_order_acquire)) return;
+  rdf::LiveGraph& live = context_->live();
   std::lock_guard<std::mutex> lock(sync_mu_);
   uint64_t seen = last_synced_gen_.load(std::memory_order_relaxed);
   if (snap_gen <= seen) return;  // another thread synced past us
   std::vector<rdf::PublishRecord> records;
-  if (!live->CollectPublishesSince(seen, &records)) {
+  if (!live.CollectPublishesSince(seen, &records)) {
     // The live graph's bounded history no longer covers (seen, now]: we
     // cannot tell which entries the missed publishes touched. Fall back to
     // the conservative full drop.
-    cache_->InvalidateAll(live->generation());
-    last_synced_gen_.store(live->generation(), std::memory_order_release);
+    cache_->InvalidateAll(live.generation());
+    last_synced_gen_.store(live.generation(), std::memory_order_release);
     return;
   }
   uint64_t max_gen = seen;
@@ -462,55 +462,46 @@ Response QueryEngine::EntityLink(std::string_view mention) {
   return resp;
 }
 
-Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
+template <typename Scan>
+Response QueryEngine::GuardedGraphScan(const RequestKey& key,
+                                       rdf::TermId entity, bool valid,
+                                       Scan&& scan) {
   util::Timer timer;
   Response resp;
   std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap == nullptr || entity == rdf::kInvalidTerm) {
+  if (!valid || !context_->has_graph() || entity == rdf::kInvalidTerm) {
     resp.status = ServeStatus::kInvalidArgument;
   } else {
-    RequestKey key{Endpoint::kNeighbors, entity, relation, 0, ""};
     uint64_t fp = Fingerprint(key);
     uint64_t gen = context_->generation();
     // Apply every publish our snapshot reflects BEFORE the cache lookup:
     // a hit must never hand back an answer a publish <= snap->generation
     // already invalidated.
     SyncInvalidations(snap->generation);
-    if (!AdmitOrServeCached(Endpoint::kNeighbors, key, fp, gen, &resp)) {
-      util::CircuitBreaker& breaker = this->breaker(Endpoint::kNeighbors);
-      if (util::failpoints::Triggered("serve::graph_fault")) {
+    if (!AdmitOrServeCached(key.endpoint, key, fp, gen, &resp)) {
+      util::CircuitBreaker& breaker = this->breaker(key.endpoint);
+      auto degrade = [&] {
+        resp.payload.triples.clear();
         resp.status = ServeStatus::kDegraded;
         resp.degraded = true;
         breaker.RecordFailure();
-      } else if (!snap->BaseOk()) {
+      };
+      if (util::failpoints::Triggered("serve::graph_fault")) {
+        degrade();
+      } else if (!snap->ok()) {
         // Corrupt sharded base (lazy verification latched): a scan would
         // silently return partial answers, so refuse instead — cache hits
         // above still serve, and the breaker learns the component is down.
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
+        degrade();
       } else {
-        const rdf::GraphSnapshot& view = Sealed(*snap);
-        std::vector<rdf::Triple>& out = resp.payload.triples;
-        view.ForEachMatchFn(
-            rdf::TriplePattern{entity, relation, rdf::TriplePattern::kAny},
-            [&out](const rdf::Triple& t) {
-              out.push_back(t);
-              return true;
-            });
-        view.ForEachMatchFn(
-            rdf::TriplePattern{rdf::TriplePattern::kAny, relation, entity},
-            [&out, entity](const rdf::Triple& t) {
-              if (t.s != entity) out.push_back(t);  // self-loops seen above
-              return true;
-            });
-        if (!snap->BaseOk()) {
-          // Lazy verification latched corruption DURING these scans: the
+        OPENBG_CHECK(snap->IndexesSealed())
+            << "serve-path read would trigger a lazy index build; the store "
+               "was mutated after ServeContext/LiveGraph sealed it";
+        scan(*snap, &resp.payload.triples);
+        if (!snap->ok()) {
+          // Lazy verification latched corruption DURING the scan: the
           // collected triples are a prefix of the real answer. Refuse them.
-          resp.payload.triples.clear();
-          resp.status = ServeStatus::kDegraded;
-          resp.degraded = true;
-          breaker.RecordFailure();
+          degrade();
         } else {
           resp.status = ServeStatus::kOk;
           breaker.RecordSuccess();
@@ -523,74 +514,53 @@ Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
       }
     }
   }
-  metrics_.Local()->Record(Endpoint::kNeighbors, resp.status,
-                           resp.from_cache, timer.Seconds() * 1e6,
-                           resp.degraded);
+  metrics_.Local()->Record(key.endpoint, resp.status, resp.from_cache,
+                           timer.Seconds() * 1e6, resp.degraded);
   return resp;
 }
 
+Response QueryEngine::Neighbors(rdf::TermId entity, rdf::TermId relation) {
+  constexpr rdf::TermId kAny = rdf::TriplePattern::kAny;
+  return GuardedGraphScan(
+      RequestKey{Endpoint::kNeighbors, entity, relation, 0, ""}, entity,
+      /*valid=*/true,
+      [entity, relation](const rdf::GraphSnapshot& view,
+                         std::vector<rdf::Triple>* out) {
+        view.ForEachMatch(rdf::TriplePattern{entity, relation, kAny},
+                          [out](const rdf::Triple& t) {
+                            out->push_back(t);
+                            return true;
+                          });
+        view.ForEachMatch(rdf::TriplePattern{kAny, relation, entity},
+                          [out, entity](const rdf::Triple& t) {
+                            // Self-loops were seen by the first scan.
+                            if (t.s != entity) out->push_back(t);
+                            return true;
+                          });
+      });
+}
+
 Response QueryEngine::ConceptsOf(rdf::TermId entity) {
-  util::Timer timer;
-  Response resp;
   const ontology::Ontology* onto = context_->bindings().ontology;
-  std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap == nullptr || onto == nullptr || entity == rdf::kInvalidTerm) {
-    resp.status = ServeStatus::kInvalidArgument;
-  } else {
-    RequestKey key{Endpoint::kConceptsOf, entity, 0, 0, ""};
-    uint64_t fp = Fingerprint(key);
-    uint64_t gen = context_->generation();
-    SyncInvalidations(snap->generation);
-    if (!AdmitOrServeCached(Endpoint::kConceptsOf, key, fp, gen, &resp)) {
-      util::CircuitBreaker& breaker = this->breaker(Endpoint::kConceptsOf);
-      if (util::failpoints::Triggered("serve::graph_fault")) {
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else if (!snap->BaseOk()) {
-        // See Neighbors: a corrupt sharded base refuses rather than
-        // serving a partial scan.
-        resp.status = ServeStatus::kDegraded;
-        resp.degraded = true;
-        breaker.RecordFailure();
-      } else {
-        const rdf::GraphSnapshot& view = Sealed(*snap);
+  return GuardedGraphScan(
+      RequestKey{Endpoint::kConceptsOf, entity, 0, 0, ""}, entity,
+      /*valid=*/onto != nullptr,
+      [entity, onto](const rdf::GraphSnapshot& view,
+                     std::vector<rdf::Triple>* out) {
         std::vector<rdf::TermId> properties = {
             onto->applied_time(), onto->related_scene(), onto->about_theme(),
             onto->for_crowd()};
         properties.insert(properties.end(), onto->in_market().begin(),
                           onto->in_market().end());
-        std::vector<rdf::Triple>& out = resp.payload.triples;
         for (rdf::TermId prop : properties) {
-          view.ForEachMatchFn(
+          view.ForEachMatch(
               rdf::TriplePattern{entity, prop, rdf::TriplePattern::kAny},
-              [&out](const rdf::Triple& t) {
-                out.push_back(t);
+              [out](const rdf::Triple& t) {
+                out->push_back(t);
                 return true;
               });
         }
-        if (!snap->BaseOk()) {
-          // See Neighbors: corruption latched mid-scan, answer is partial.
-          resp.payload.triples.clear();
-          resp.status = ServeStatus::kDegraded;
-          resp.degraded = true;
-          breaker.RecordFailure();
-        } else {
-          resp.status = ServeStatus::kOk;
-          breaker.RecordSuccess();
-          if (options_.cache_enabled) {
-            cache_->Insert(fp, key, gen,
-                           std::make_shared<ResultPayload>(resp.payload),
-                           snap->generation, {rdf::EntityDepKey(entity)});
-          }
-        }
-      }
-    }
-  }
-  metrics_.Local()->Record(Endpoint::kConceptsOf, resp.status,
-                           resp.from_cache, timer.Seconds() * 1e6,
-                           resp.degraded);
-  return resp;
+      });
 }
 
 HealthState QueryEngine::ComputeHealth() const {
@@ -624,41 +594,38 @@ HealthState QueryEngine::ComputeHealth() const {
     hs.cache.health = Health::kDegraded;
     hs.cache.reason = "cache disabled: no fallback during outages";
   }
-  rdf::LiveGraph* live = context_->bindings().live;
-  if (live == nullptr) {
-    hs.live_graph.reason = "static graph (no live layer bound)";
-  } else {
-    rdf::LiveGraph::StatsSnapshot ls = live->stats();
-    if (ls.consecutive_publish_failures >= 3) {
-      hs.live_graph.health = Health::kUnhealthy;
-      hs.live_graph.reason = util::StrFormat(
-          "%llu consecutive publish failures: updates not landing",
-          static_cast<unsigned long long>(ls.consecutive_publish_failures));
-    } else if (ls.consecutive_publish_failures > 0) {
-      hs.live_graph.health = Health::kDegraded;
-      hs.live_graph.reason = "recent publish failure";
-    }
-    size_t lag = live->delta_size();
-    if (ls.consecutive_compact_failures >= 3) {
-      hs.compaction.health = Health::kUnhealthy;
-      hs.compaction.reason = util::StrFormat(
-          "%llu consecutive compaction failures, delta at %zu mutations",
-          static_cast<unsigned long long>(ls.consecutive_compact_failures),
-          lag);
-    } else if (ls.consecutive_compact_failures > 0) {
-      hs.compaction.health = Health::kDegraded;
-      hs.compaction.reason = "recent compaction failure";
-    } else if (options_.compaction_lag_threshold > 0 &&
-               lag >= options_.compaction_lag_threshold) {
-      hs.compaction.health = Health::kDegraded;
-      hs.compaction.reason = util::StrFormat(
-          "delta overlay at %zu mutations (lag threshold %zu)", lag,
-          options_.compaction_lag_threshold);
-    }
+  rdf::LiveGraph& live = context_->live();
+  rdf::LiveGraph::StatsSnapshot ls = live.stats();
+  if (ls.consecutive_publish_failures >= 3) {
+    hs.live_graph.health = Health::kUnhealthy;
+    hs.live_graph.reason = util::StrFormat(
+        "%llu consecutive publish failures: updates not landing",
+        static_cast<unsigned long long>(ls.consecutive_publish_failures));
+  } else if (ls.consecutive_publish_failures > 0) {
+    hs.live_graph.health = Health::kDegraded;
+    hs.live_graph.reason = "recent publish failure";
+  }
+  size_t lag = live.delta_size();
+  if (ls.consecutive_compact_failures >= 3) {
+    hs.compaction.health = Health::kUnhealthy;
+    hs.compaction.reason = util::StrFormat(
+        "%llu consecutive compaction failures, delta at %zu mutations",
+        static_cast<unsigned long long>(ls.consecutive_compact_failures),
+        lag);
+  } else if (ls.consecutive_compact_failures > 0) {
+    hs.compaction.health = Health::kDegraded;
+    hs.compaction.reason = "recent compaction failure";
+  } else if (options_.compaction_lag_threshold > 0 &&
+             lag >= options_.compaction_lag_threshold) {
+    hs.compaction.health = Health::kDegraded;
+    hs.compaction.reason = util::StrFormat(
+        "delta overlay at %zu mutations (lag threshold %zu)", lag,
+        options_.compaction_lag_threshold);
   }
   std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap != nullptr && !snap->BaseOk()) {
-    rdf::ShardedStoreStats ss = snap->sharded->Stats();
+  if (const rdf::ShardedStore* sharded = ShardedBase(*snap);
+      sharded != nullptr && !sharded->ok()) {
+    rdf::ShardedStoreStats ss = sharded->Stats();
     hs.base_store.health = Health::kUnhealthy;
     hs.base_store.reason = util::StrFormat(
         "sharded base corrupt (cache-only): %s", ss.first_error.c_str());
@@ -713,22 +680,22 @@ std::string QueryEngine::MetricsJson() const {
         static_cast<unsigned long long>(bs.cancels));
   }
   extra += "}";
-  if (rdf::LiveGraph* live = context_->bindings().live; live != nullptr) {
-    rdf::LiveGraph::StatsSnapshot ls = live->stats();
-    extra += util::StrFormat(
-        ",\"live_graph\":{\"publish_retries\":%llu,\"publish_failures\":%llu,"
-        "\"compact_retries\":%llu,\"compact_failures\":%llu,"
-        "\"inline_fallbacks\":%llu,\"compactions\":%llu,\"delta_size\":%zu}",
-        static_cast<unsigned long long>(ls.publish_retries),
-        static_cast<unsigned long long>(ls.publish_failures),
-        static_cast<unsigned long long>(ls.compact_retries),
-        static_cast<unsigned long long>(ls.compact_failures),
-        static_cast<unsigned long long>(ls.inline_fallbacks),
-        static_cast<unsigned long long>(ls.compactions), live->delta_size());
-  }
+  rdf::LiveGraph& live = context_->live();
+  rdf::LiveGraph::StatsSnapshot ls = live.stats();
+  extra += util::StrFormat(
+      ",\"live_graph\":{\"publish_retries\":%llu,\"publish_failures\":%llu,"
+      "\"compact_retries\":%llu,\"compact_failures\":%llu,"
+      "\"inline_fallbacks\":%llu,\"compactions\":%llu,\"delta_size\":%zu}",
+      static_cast<unsigned long long>(ls.publish_retries),
+      static_cast<unsigned long long>(ls.publish_failures),
+      static_cast<unsigned long long>(ls.compact_retries),
+      static_cast<unsigned long long>(ls.compact_failures),
+      static_cast<unsigned long long>(ls.inline_fallbacks),
+      static_cast<unsigned long long>(ls.compactions), live.delta_size());
   std::shared_ptr<const rdf::GraphSnapshot> snap = context_->AcquireSnapshot();
-  if (snap != nullptr && snap->sharded != nullptr) {
-    rdf::ShardedStoreStats ss = snap->sharded->Stats();
+  if (const rdf::ShardedStore* sharded = ShardedBase(*snap);
+      sharded != nullptr) {
+    rdf::ShardedStoreStats ss = sharded->Stats();
     extra += util::StrFormat(
         ",\"sharded_store\":{\"num_shards\":%u,\"triples\":%llu,"
         "\"mapped_bytes\":%zu,\"resident_bytes\":%zu,"
@@ -745,8 +712,9 @@ std::string QueryEngine::MetricsJson() const {
     // base, confirm RSS stays inside the page-cache budget).
     extra += util::StrFormat(",\"memory\":{\"process_rss_bytes\":%zu",
                              util::ProcessRssBytes());
-    if (snap != nullptr && snap->base != nullptr) {
-      rdf::TripleStoreMemory m = snap->base->MemoryUsage();
+    if (const auto* store =
+            dynamic_cast<const rdf::TripleStore*>(snap->base.get())) {
+      rdf::TripleStoreMemory m = store->MemoryUsage();
       extra += util::StrFormat(
           ",\"store\":{\"triples_bytes\":%zu,\"dedup_bytes\":%zu,"
           "\"idx_spo_bytes\":%zu,\"idx_pos_bytes\":%zu,"
@@ -758,7 +726,7 @@ std::string QueryEngine::MetricsJson() const {
       extra += util::StrFormat(
           ",\"dict_bytes\":%zu", context_->bindings().graph->dict.MemoryUsage());
     }
-    if (snap != nullptr && snap->delta != nullptr) {
+    if (snap->delta != nullptr) {
       extra +=
           util::StrFormat(",\"delta_bytes\":%zu", snap->delta->MemoryUsage());
     }

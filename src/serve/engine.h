@@ -19,6 +19,7 @@
 #include "ontology/ontology.h"
 #include "rdf/graph.h"
 #include "rdf/live_graph.h"
+#include "rdf/sharded_store.h"
 #include "serve/health.h"
 #include "serve/metrics.h"
 #include "serve/result_cache.h"
@@ -31,17 +32,18 @@ namespace openbg::serve {
 
 /// Everything a QueryEngine serves from, bound together with the read
 /// invariants the serve path relies on:
-///  * the TripleStore's indexes are sealed at bind time (and asserted on
-///    every serve read — no serve-path query may ever trigger a lazy index
-///    rebuild, which would take the store's mutex on what must be a
-///    lock-free path);
+///  * graph reads go through exactly one rdf::LiveGraph: the bound `live`
+///    one, or one this context builds and owns over the bound base (a
+///    frozen graph is a LiveGraph nobody writes to). Every request reads
+///    the immutable rdf::GraphSnapshot that graph currently publishes, so
+///    the serving layer tracks live updates without quiescing (MVCC:
+///    in-flight requests finish on the snapshot they acquired);
+///  * the snapshot's base is sealed when the LiveGraph wraps it (and
+///    asserted on every serve read — no serve-path query may ever trigger
+///    a lazy index rebuild, which would take the store's mutex on what
+///    must be a lock-free path);
 ///  * the KGE model's PrepareEval() has run, so ScoreTails is
 ///    const-thread-safe;
-///  * graph reads go through an immutable rdf::GraphSnapshot handle: a
-///    frozen one wrapping the bound Graph, or — when a rdf::LiveGraph is
-///    bound — whatever snapshot that graph currently publishes, so the
-///    serving layer tracks live updates without quiescing (MVCC: in-flight
-///    requests finish on the snapshot they acquired);
 ///  * a cache *epoch* stamps every cached answer; a model reload or
 ///    explicit bump retires the whole cache in O(1), while live-graph
 ///    delta publishes invalidate selectively by touched dependency keys
@@ -59,18 +61,21 @@ class ServeContext {
     const kge::Dataset* dataset = nullptr;         // optional: id -> name
     kge::KgeModel* model = nullptr;                // LinkPredictTopK
     const construction::SchemaMapper* mapper = nullptr;  // EntityLink
-    /// Optional live-update layer. When set, graph endpoints serve from
-    /// live->Acquire() (which supersedes `graph` for triple reads) and
-    /// the engines apply its publish records to their result caches.
+    /// The graph inputs `live`, `sharded` and `graph` become the context's
+    /// one LiveGraph, the first that is set winning:
+    ///   1. `live`: served as is; its publish records drive the engines'
+    ///      selective cache invalidation;
+    ///   2. `sharded`: an out-of-core OBGSNAP2 base (rdf::ShardedStore)
+    ///      serving zero-copy from mmapped segments, wrapped in a LiveGraph
+    ///      the context owns. Owned (shared_ptr) because the mapping must
+    ///      outlast every in-flight request holding a snapshot over it;
+    ///   3. `graph`: its store, aliased and wrapped in an owned LiveGraph
+    ///      (sealed on the way in);
+    ///   4. none: an owned LiveGraph over an empty store, and the graph
+    ///      endpoints answer kInvalidArgument.
+    /// `graph` also supplies the term dictionary for memory accounting
+    /// whichever input serves the triples.
     rdf::LiveGraph* live = nullptr;
-    /// Optional out-of-core base: an OBGSNAP2 store (rdf::ShardedStore)
-    /// serving graph reads zero-copy from mmapped segments. Mutually
-    /// exclusive with `graph` as a triple source (when both are set,
-    /// `sharded` wins for triple reads; `graph` still supplies the term
-    /// dictionary for memory accounting). A LiveGraph constructed over a
-    /// sharded base supersedes this the same way it supersedes `graph`.
-    /// Owned (shared_ptr) because mmap lifetime must outlast every
-    /// in-flight request that acquired a snapshot over it.
     std::shared_ptr<const rdf::ShardedStore> sharded;
     /// Optional ANN acceleration for LinkPredictTopK. When enabled, the
     /// context builds an ann::TailIndex over the bound model at
@@ -112,19 +117,23 @@ class ServeContext {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// The graph snapshot to serve this request from: the live graph's
-  /// current snapshot when one is bound, else the frozen wrapper built at
-  /// construction (null when no graph/live is bound). Never blocks.
-  std::shared_ptr<const rdf::GraphSnapshot> AcquireSnapshot() const {
-    if (bindings_.live != nullptr) return bindings_.live->Acquire();
-    return frozen_;
+  /// The one LiveGraph every graph read goes through (see Bindings).
+  rdf::LiveGraph& live() const { return *live_; }
+
+  /// True when any graph input is bound; graph endpoints refuse otherwise.
+  bool has_graph() const {
+    return bindings_.live != nullptr || bindings_.sharded != nullptr ||
+           bindings_.graph != nullptr;
   }
 
-  /// Generation of the snapshot a request acquired right now (1 when no
-  /// live graph is bound — a frozen graph never advances).
-  uint64_t snapshot_generation() const {
-    return bindings_.live != nullptr ? bindings_.live->generation() : 1;
+  /// The graph snapshot to serve this request from. Never blocks.
+  std::shared_ptr<const rdf::GraphSnapshot> AcquireSnapshot() const {
+    return live_->Acquire();
   }
+
+  /// Generation of the snapshot a request acquired right now (stays 1 for
+  /// a graph nobody writes to).
+  uint64_t snapshot_generation() const { return live_->generation(); }
 
   /// Swaps in a (re)trained model: runs PrepareEval() on it FIRST, then
   /// publishes the ref atomically and bumps the epoch so every cached
@@ -200,13 +209,14 @@ class ServeContext {
   }
 
   Bindings bindings_;
+  // The LiveGraph built over `sharded` / `graph` when `live` is unset.
+  std::unique_ptr<rdf::LiveGraph> owned_live_;
+  rdf::LiveGraph* live_;  // bindings_.live or owned_live_; never null
   // The currently-serving model; bindings_.model is only its initial
   // value. Accessed via std::atomic_load/store (readers pin per request,
   // ReloadModel publishes) — never touched directly after construction.
   std::shared_ptr<kge::KgeModel> model_ptr_;
   std::atomic<uint64_t> generation_{1};
-  // Immutable wrapper around the bound frozen graph (no live layer).
-  std::shared_ptr<const rdf::GraphSnapshot> frozen_;
   std::atomic<uint64_t> reload_attempts_{0};
   std::atomic<uint64_t> reload_successes_{0};
   std::atomic<uint64_t> reload_failures_{0};
@@ -376,9 +386,16 @@ class QueryEngine {
   // predate a publish the acquired snapshot already reflects.
   void SyncInvalidations(uint64_t snap_gen);
 
-  // Asserts the serve-read contract on an acquired snapshot: its base
-  // store's indexes are sealed, so reads never take the index mutex.
-  static const rdf::GraphSnapshot& Sealed(const rdf::GraphSnapshot& snap);
+  // The path Neighbors and ConceptsOf share. After validation, the cache
+  // and the breaker, the compute path runs, in order: the
+  // `serve::graph_fault` failpoint, the base health check, the sealed-base
+  // assertion (reads never take an index mutex), `scan(snapshot, &out)`,
+  // a health recheck (lazy verification may latch corruption mid-scan,
+  // leaving a prefix of the answer), and the cache insert stamped with
+  // the snapshot's generation and `entity`'s dependency key.
+  template <typename Scan>
+  Response GuardedGraphScan(const RequestKey& key, rdf::TermId entity,
+                            bool valid, Scan&& scan);
 
   ServeContext* context_;
   EngineOptions options_;

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,150 @@ TEST(ShardedStoreTest, SubjectObjectPatternUsesOspParity) {
     }
   }
   RemoveTree(dir);
+}
+
+// The live read path end to end: a GraphSnapshot over each base (in-memory
+// and OBGSNAP2), each carrying the same random delta of adds and retracts,
+// against a std::set oracle of the live triples — for every pattern shape
+// and every derived read. The two snapshots must also agree with each other
+// exactly (order included, for bound patterns), and the two bases must cost
+// the same to scan.
+TEST(ShardedStoreTest, SnapshotParityWithRandomDeltaOnBothBases) {
+  struct Config {
+    uint64_t seed;
+    size_t triples;
+    uint32_t shards;
+    size_t block_size;
+  };
+  const Config configs[] = {{55, 600, 1, 4}, {66, 1500, 4, 16},
+                            {77, 1200, 7, 1024}};
+  auto spo_less = [](const Triple& a, const Triple& b) {
+    return SpoLess(a, b);
+  };
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(::testing::Message() << "seed " << cfg.seed << " shards "
+                                      << cfg.shards << " block "
+                                      << cfg.block_size);
+    std::string dir = FreshDir("obgs2_snapshot_parity");
+    util::Rng rng(cfg.seed);
+    TripleStore mem;
+    FillRandomGraph(&rng, cfg.triples, 60, 8, 40, &mem);
+    auto sharded = BuildAndOpen(
+        mem, dir, {.num_shards = cfg.shards, .block_size = cfg.block_size});
+    ASSERT_NE(sharded, nullptr);
+    rdf::LiveGraph mem_live(rdf::LiveGraph::Alias(&mem));
+    rdf::LiveGraph sharded_live(sharded);
+
+    std::set<Triple, decltype(spo_less)> oracle(mem.triples().begin(),
+                                                mem.triples().end(), spo_less);
+    std::vector<Triple> touched;  // every triple a batch named
+    auto random_triple = [&rng] {
+      return Triple{static_cast<rdf::TermId>(rng.Uniform(70)),
+                    static_cast<rdf::TermId>(rng.Uniform(9)),
+                    static_cast<rdf::TermId>(rng.Uniform(50))};
+    };
+    for (int b = 0; b < 6; ++b) {
+      rdf::UpdateBatch batch;
+      for (int i = 0; i < 25; ++i) batch.adds.push_back(random_triple());
+      for (int i = 0; i < 25; ++i) {
+        // Retract base triples, earlier delta adds and absent triples.
+        if (i % 3 == 0) {
+          batch.retracts.push_back(
+              mem.triples()[rng.Uniform(mem.triples().size())]);
+        } else if (i % 3 == 1 && !touched.empty()) {
+          batch.retracts.push_back(touched[rng.Uniform(touched.size())]);
+        } else {
+          batch.retracts.push_back(random_triple());
+        }
+      }
+      // Adds fold in first, so a triple in both lists ends up retracted.
+      for (const Triple& t : batch.adds) oracle.insert(t);
+      for (const Triple& t : batch.retracts) oracle.erase(t);
+      touched.insert(touched.end(), batch.adds.begin(), batch.adds.end());
+      touched.insert(touched.end(), batch.retracts.begin(),
+                     batch.retracts.end());
+      ASSERT_TRUE(mem_live.Apply(batch).ok());
+      ASSERT_TRUE(sharded_live.Apply(batch).ok());
+    }
+    // Retract every live triple of one predicate: the base still stores
+    // them, so every read of that predicate must filter them all out.
+    rdf::UpdateBatch wipe;
+    const rdf::TermId gone = mem.triples()[0].p;
+    for (const Triple& t : oracle) {
+      if (t.p == gone) wipe.retracts.push_back(t);
+    }
+    for (const Triple& t : wipe.retracts) oracle.erase(t);
+    ASSERT_TRUE(mem_live.Apply(wipe).ok());
+    ASSERT_TRUE(sharded_live.Apply(wipe).ok());
+    std::shared_ptr<const rdf::GraphSnapshot> a = mem_live.Acquire();
+    std::shared_ptr<const rdf::GraphSnapshot> b = sharded_live.Acquire();
+    ASSERT_NE(a->delta, nullptr);
+    ASSERT_GT(a->delta->num_retracts(), 0u);
+    ASSERT_FALSE(a->delta->adds().empty());
+
+    EXPECT_EQ(a->size(), oracle.size());
+    EXPECT_EQ(b->size(), oracle.size());
+    EXPECT_EQ(a->CountMatches({kAny, gone, kAny}), 0u);
+    EXPECT_EQ(b->CountMatches({kAny, gone, kAny}), 0u);
+
+    auto sorted = [&spo_less](std::vector<Triple> v) {
+      std::sort(v.begin(), v.end(), spo_less);
+      return v;
+    };
+    for (size_t i = 0; i < 40; ++i) {
+      Triple probe = i % 2 == 0 ? touched[rng.Uniform(touched.size())]
+                                : mem.triples()[rng.Uniform(mem.size())];
+      if (i % 5 == 4) probe.o = static_cast<rdf::TermId>(rng.Uniform(100));
+      EXPECT_EQ(a->Contains(probe.s, probe.p, probe.o),
+                oracle.count(probe) > 0);
+      EXPECT_EQ(b->Contains(probe.s, probe.p, probe.o),
+                oracle.count(probe) > 0);
+      for (const TriplePattern& pattern : PatternShapes(probe)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "pattern (" << pattern.s << "," << pattern.p << ","
+                     << pattern.o << ")");
+        std::vector<Triple> want;
+        for (const Triple& t : oracle) {
+          if (pattern.Matches(t)) want.push_back(t);
+        }
+        std::vector<Triple> got_a = a->Match(pattern);
+        std::vector<Triple> got_b = b->Match(pattern);
+        EXPECT_EQ(sorted(got_a), want);
+        EXPECT_EQ(sorted(got_b), want);
+        const bool unbound =
+            pattern.s == kAny && pattern.p == kAny && pattern.o == kAny;
+        if (!unbound) {
+          EXPECT_EQ(got_a, got_b);  // same order, not just the same set
+        }
+        EXPECT_EQ(a->CountMatches(pattern), want.size());
+        EXPECT_EQ(b->CountMatches(pattern), want.size());
+        EXPECT_EQ(mem.ScanCost(pattern), sharded->ScanCost(pattern));
+      }
+      std::vector<rdf::TermId> objects, subjects;
+      for (const Triple& t : oracle) {
+        if (t.s == probe.s && t.p == probe.p) objects.push_back(t.o);
+        if (t.p == probe.p && t.o == probe.o) subjects.push_back(t.s);
+      }
+      std::vector<rdf::TermId> got_objects = a->Objects(probe.s, probe.p);
+      EXPECT_EQ(got_objects, b->Objects(probe.s, probe.p));
+      std::sort(got_objects.begin(), got_objects.end());
+      EXPECT_EQ(got_objects, objects);
+      std::vector<rdf::TermId> got_subjects = a->Subjects(probe.p, probe.o);
+      EXPECT_EQ(got_subjects, b->Subjects(probe.p, probe.o));
+      std::sort(got_subjects.begin(), got_subjects.end());
+      std::sort(subjects.begin(), subjects.end());
+      EXPECT_EQ(got_subjects, subjects);
+      const rdf::TermId first = a->FirstObject(probe.s, probe.p);
+      EXPECT_EQ(first, b->FirstObject(probe.s, probe.p));
+      if (objects.empty()) {
+        EXPECT_EQ(first, rdf::kInvalidTerm);
+      } else {
+        EXPECT_EQ(oracle.count(Triple{probe.s, probe.p, first}), 1u);
+      }
+    }
+    EXPECT_TRUE(b->ok());
+    RemoveTree(dir);
+  }
 }
 
 TEST(ShardedStoreTest, SubjectRoutingAgreesWithSplitMix) {
